@@ -35,6 +35,12 @@ var (
 	// for the LP (outside the box interior or violating Aᵀx = b).
 	ErrInfeasible = lp.ErrInfeasible
 
+	// ErrNotCertified marks a flow query whose last perturbation attempt
+	// produced an LP iterate that rounded to a flow the exactness
+	// certificate rejected (the message gives the iterate's ‖Aᵀx − b‖).
+	// No uncertified flow is ever returned.
+	ErrNotCertified = flow.ErrNotCertified
+
 	// ErrSolverClosed marks a query submitted to a FlowSolver after Drain
 	// or Close began (pooled or not), a queued query abandoned by an
 	// aborting shutdown, or an operation on a Service or NetworkHandle

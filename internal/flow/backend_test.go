@@ -1,7 +1,11 @@
 package flow
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bcclap/internal/graph"
@@ -189,5 +193,94 @@ func TestConfigureRejectsUnknownBackend(t *testing.T) {
 	}
 	if _, err := MinCostMaxFlow(d, 0, 3, Options{Backend: "no-such-backend"}); err == nil {
 		t.Fatal("MinCostMaxFlow accepted unknown backend")
+	}
+}
+
+// A query whose every attempt rounds to a flow the certificate rejects —
+// the drift-repaired iterate included — fails with ErrNotCertified, and
+// the message reports how far the LP iterate is off Aᵀx = b. The session's
+// problem gets an AᵀDA "solver" that always returns 0, so no Newton step
+// is projected onto the constraints, and ε = 1e12 ends the path at
+// t₂ = 2m/ε, far from the optimum, so repairing the drift cannot help.
+func TestCertificateFailureIsTyped(t *testing.T) {
+	d := graph.NewDigraph(4)
+	for _, a := range [][4]int64{{0, 1, 2, 1}, {1, 3, 2, 1}, {0, 2, 1, 3}, {2, 3, 1, 1}} {
+		if _, err := d.AddArc(int(a[0]), int(a[1]), a[2], a[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := NewSolver(d, Options{Seed: SeedOf(11), Retries: 2, Eps: 1e12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{S: 0, T: 3}
+	st, err := fs.formFor(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.form.Prob.Solve = func(_ context.Context, _, y []float64) ([]float64, int, error) {
+		return make([]float64, len(y)), 0, nil
+	}
+	if st.sess, err = lp.NewSession(st.form.Prob); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fs.Solve(context.Background(), q.S, q.T)
+	if err == nil {
+		t.Fatalf("unprojected LP answered (%d, %d)", res.Value, res.Cost)
+	}
+	if !errors.Is(err, ErrNotCertified) {
+		t.Fatalf("got %v, want ErrNotCertified", err)
+	}
+	if !strings.Contains(err.Error(), "off Aᵀx = b by") {
+		t.Fatalf("error lacks the equality residual: %v", err)
+	}
+}
+
+// repairDrift pulls an iterate knocked off Aᵀx = b back onto it along the
+// variables with room: drift in the flow value F, which sits far from its
+// bounds at the optimum, is taken back out of F, while the arcs pressed
+// against their bounds barely move.
+func TestRepairDriftMovesFreeVariables(t *testing.T) {
+	d := graph.NewDigraph(4)
+	for _, a := range [][4]int64{{0, 1, 2, 1}, {1, 3, 2, 1}, {0, 2, 1, 3}, {2, 3, 1, 1}} {
+		if _, err := d.AddArc(int(a[0]), int(a[1]), a[2], a[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := NewSolver(d, Options{Seed: SeedOf(11), Backend: "dense"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fs.Solve(context.Background(), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := fs.formFor(Query{S: 0, T: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	form := st.form
+	if _, ok := form.repairDrift(form.X0); ok {
+		t.Fatal("repairDrift changed a feasible point")
+	}
+	x := append([]float64(nil), res.LPStats.X...)
+	x[form.OffF] += 0.7
+	fixed, ok := form.repairDrift(x)
+	if !ok {
+		t.Fatal("repairDrift gave up")
+	}
+	if r := form.Prob.Residual(fixed); r > 1e-9 {
+		t.Fatalf("repaired point off Aᵀx = b by %g", r)
+	}
+	if got := x[form.OffF] - fixed[form.OffF]; math.Abs(got-0.7) > 1e-6 {
+		t.Fatalf("F moved back by %v, want 0.7", got)
+	}
+	for i := 0; i < d.M(); i++ {
+		if diff := math.Abs(fixed[i] - res.LPStats.X[i]); diff > 1e-3 {
+			t.Fatalf("arc %d moved by %g", i, diff)
+		}
+	}
+	if err := CertifyOptimal(d, 0, 3, form.RoundFlow(fixed)); err != nil {
+		t.Fatal(err)
 	}
 }

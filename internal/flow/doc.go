@@ -8,7 +8,10 @@
 //     systems of Lemma 5.1, or matrix-free CG — plain, or preconditioned
 //     by the spanner-built forest of the csr-pcg backend, which
 //     DefaultBackendFor auto-selects on sparse networks), and rounding
-//     back to an exact integral flow;
+//     back to an exact integral flow — when the rounding fails the
+//     certificate, once more from the iterate moved back onto Aᵀx = b by
+//     a barrier-weighted least-squares correction, since inexact (CG)
+//     projection solves let the path drift off the constraints;
 //   - classic combinatorial baselines (Dinic's max-flow and successive
 //     shortest paths with potentials) that the experiments compare
 //     against; and

@@ -341,6 +341,50 @@ func (f *LPForm) assembleATDAInto(dvec []float64, out *linalg.Dense) {
 	out.Inc(tIdx, tIdx, dvec[f.OffF])
 }
 
+// repairMaxVertices caps the network size for which repairDrift solves
+// its (|V|−1)×(|V|−1) Gram matrix densely (8 MB at the cap).
+const repairMaxVertices = 1024
+
+// repairDrift returns x moved back onto Aᵀx = b by the weighted
+// least-squares correction x − W·A(AᵀWA)⁻¹(Aᵀx − b) with W = diag(1/φ″(x)),
+// where φ″ is the box barrier's second derivative (1/W is within a factor
+// 2 of the inverse squared distance to the nearer bound). Inexact (CG)
+// projection solves let a long path drift off the constraints by ‖Aᵀx − b‖
+// of order 1; the correction moves the variables with room — arcs strictly
+// inside their boxes, the flow value F — and leaves those pressed against
+// a bound almost where they are, so the repaired point rounds to the flow
+// the path converged to. ok is false when x is already feasible, the
+// network has more than repairMaxVertices vertices, or the dense solve
+// fails.
+func (f *LPForm) repairDrift(x []float64) (_ []float64, ok bool) {
+	p := f.Prob
+	if f.D.N() > repairMaxVertices {
+		return nil, false
+	}
+	r := p.A.MulVecT(x)
+	for i := range r {
+		r[i] -= p.B[i]
+	}
+	if linalg.Norm2(r) == 0 {
+		return nil, false
+	}
+	w := make([]float64, len(x))
+	for i, xi := range x {
+		lo, hi := xi-p.L[i], p.U[i]-xi
+		w[i] = 1 / (1/(lo*lo) + 1/(hi*hi))
+	}
+	z, err := f.assembleATDA(w).Solve(r)
+	if err != nil {
+		return nil, false
+	}
+	az := p.A.MulVec(z)
+	out := make([]float64, len(x))
+	for i := range x {
+		out[i] = x[i] - w[i]*az[i]
+	}
+	return out, true
+}
+
 // RoundFlow converts an approximate LP point into integral per-arc flows:
 // x̃ = (1−ε)x rounded to the nearest integers, as in Section 5 (with the
 // unique perturbed optimum, every x_e is within 1/6 of its integral

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -131,6 +132,13 @@ type Result struct {
 	// re-centering the previous certified solution at t₂ (batch mode).
 	WarmStarted bool
 }
+
+// ErrNotCertified marks an attempt whose LP iterate rounded to a flow the
+// exactness certificate rejected; a query whose last attempt ended so
+// fails with an error wrapping it (the message also gives the iterate's
+// equality residual ‖Aᵀx − b‖). A rejected rounding is never returned as
+// an answer.
+var ErrNotCertified = errors.New("flow: rounded flow failed the optimality certificate")
 
 // Query is a terminal pair for Solver.SolveBatch.
 type Query struct {
@@ -361,8 +369,22 @@ func (fs *Solver) solve(ctx context.Context, q Query, tryWarm bool) (*Result, er
 			continue
 		}
 		flows := st.form.RoundFlow(sol.X)
-		if err := CertifyOptimal(fs.d, q.S, q.T, flows); err != nil {
-			lastErr = fmt.Errorf("flow: attempt %d certificate: %w", attempt, err)
+		err = CertifyOptimal(fs.d, q.S, q.T, flows)
+		if err != nil {
+			// Most rejected roundings come from an iterate that inexact
+			// projection solves let drift off Aᵀx = b: round the repaired
+			// iterate once more before drawing a fresh perturbation. A
+			// rounding the certificate accepts is exact either way.
+			if x, ok := st.form.repairDrift(sol.X); ok {
+				if repaired := st.form.RoundFlow(x); CertifyOptimal(fs.d, q.S, q.T, repaired) == nil {
+					flows, err = repaired, nil
+					sol.X, sol.Objective = x, st.form.Prob.Objective(x)
+				}
+			}
+		}
+		if err != nil {
+			lastErr = fmt.Errorf("flow: attempt %d: %w: %w (LP iterate off Aᵀx = b by %.3g)",
+				attempt, ErrNotCertified, err, st.form.Prob.Residual(sol.X))
 			continue
 		}
 		st.warmX, st.warmW = sol.X, sol.Weights

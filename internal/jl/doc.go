@@ -12,6 +12,10 @@
 // On top of the sketches, the package provides approximate leverage scores
 // (Algorithm 6, Lemma 4.5): σ(M) = diag(M(MᵀM)⁻¹Mᵀ) approximated by k
 // regression solves, which the LP solver's Lewis-weight updates consume.
+// LeverageScoresExact, one Gram solve per row, is the reference: the LP
+// solver computes exact scores itself from one factorization of the Gram
+// matrix (internal/lp, lewis.go) and calls it only as a fallback, while
+// tests check the factored scores against it.
 //
 // Invariants:
 //

@@ -12,7 +12,8 @@ import (
 type GramSolver func(y []float64) ([]float64, error)
 
 // LeverageScoresExact computes σ(M) = diag(M(MᵀM)⁻¹Mᵀ) exactly with one
-// solve per row — the expensive reference Algorithm 6 avoids.
+// solve per row — the expensive reference Algorithm 6 avoids, and the one
+// the LP solver's factored exact scores are tested against.
 func LeverageScoresExact(mul, mulT func([]float64) []float64, m, n int, solve GramSolver) ([]float64, error) {
 	sigma := make([]float64, m)
 	for i := 0; i < m; i++ {

@@ -143,6 +143,13 @@ func (m *CSR) Scale(a float64) *CSR {
 // RowNNZ returns the number of nonzeros in row r.
 func (m *CSR) RowNNZ(r int) int { return m.rowPtr[r+1] - m.rowPtr[r] }
 
+// RowEntries returns views (not copies) of the column indices and values
+// stored in row r, for hot loops where VisitRow's per-entry call shows.
+func (m *CSR) RowEntries(r int) ([]int, []float64) {
+	lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+	return m.colIdx[lo:hi], m.vals[lo:hi]
+}
+
 // VisitRow calls f(col, val) for every stored nonzero in row r.
 func (m *CSR) VisitRow(r int, f func(col int, val float64)) {
 	for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {

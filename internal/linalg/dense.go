@@ -185,25 +185,49 @@ func (m *Dense) Cholesky() (*Dense, error) {
 	if m.rows != m.cols {
 		return nil, ErrDimension
 	}
-	n := m.rows
-	l := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := m.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrSingular
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
+	l := m.Clone()
+	if err := l.CholeskyInPlace(); err != nil {
+		return nil, err
+	}
+	for i := 0; i < l.rows; i++ {
+		row := l.Row(i)
+		for j := i + 1; j < len(row); j++ {
+			row[j] = 0
 		}
 	}
 	return l, nil
+}
+
+// CholeskyInPlace overwrites the lower triangle (diagonal included) of a
+// symmetric positive-definite matrix with its Cholesky factor L, the
+// allocation-free form of Cholesky: the strict upper triangle is left as it
+// was and is never read by CholSolveInPlace. The arithmetic is the same as
+// Cholesky's, so the factor is bitwise equal. On ErrSingular the lower
+// triangle is partially overwritten.
+func (m *Dense) CholeskyInPlace() error {
+	if m.rows != m.cols {
+		return ErrDimension
+	}
+	n := m.rows
+	for i := 0; i < n; i++ {
+		ri := m.Row(i)
+		for j := 0; j <= i; j++ {
+			rj := m.Row(j)
+			s := ri[j]
+			for k := 0; k < j; k++ {
+				s -= ri[k] * rj[k]
+			}
+			if i == j {
+				if s <= 0 {
+					return ErrSingular
+				}
+				ri[i] = math.Sqrt(s)
+			} else {
+				ri[j] = s / rj[j]
+			}
+		}
+	}
+	return nil
 }
 
 // CholSolve solves L Lᵀ x = b given a lower Cholesky factor L.

@@ -121,7 +121,11 @@ func (d DiagOp) Dims() (int, int) { return len(d.D), len(d.D) }
 
 // MulVecTo implements LinOp.
 func (d DiagOp) MulVecTo(dst, x []float64) {
-	checkApply(d, dst, x)
+	// Checked inline: passing the struct to checkApply would box it into
+	// an interface, one heap allocation per product.
+	if n := len(d.D); len(dst) != n || len(x) != n {
+		panic(fmt.Sprintf("linalg: LinOp apply got dst=%d x=%d, want dst=%d x=%d", len(dst), len(x), n, n))
+	}
 	for i, v := range d.D {
 		dst[i] = v * x[i]
 	}

@@ -8,7 +8,8 @@
 // Built-in backends:
 //
 //	dense   — assemble AᵀDA densely and factorize (Cholesky with Gaussian
-//	          fallback); the exact reference, O(n³) per solve.
+//	          fallback, and a 1e-14 relative ridge when that finds the
+//	          matrix singular); the exact reference, O(n³) per solve.
 //	gremban — assemble AᵀDA, reduce to a Laplacian on 2n vertices via the
 //	          Gremban reduction (Lemma 5.1) and solve by preconditioned CG;
 //	          requires the SDD structure the flow LP guarantees.
@@ -28,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -165,23 +167,43 @@ func init() {
 }
 
 // denseBackend assembles AᵀDA into a reused n×n buffer and factorizes it
-// per call; the reference for tests and small instances.
+// in place per call; the reference for tests and small instances. The
+// solution lands in a reused n-vector, so a call allocates nothing.
 func denseBackend(a *linalg.CSR) (ATDASolve, error) {
 	n := a.Cols()
 	gram := linalg.NewDense(n, n)
+	x := make([]float64, n)
 	return func(_ context.Context, d, y []float64) ([]float64, int, error) {
 		if err := checkATDAArgs(a, d, y); err != nil {
 			return nil, 0, err
 		}
 		assembleGram(a, d, gram)
-		chol, err := gram.Cholesky()
-		if err != nil {
+		if err := gram.CholeskyInPlace(); err != nil {
 			// Fall back to pivoted Gaussian elimination for semidefinite
-			// edge cases (e.g. a bound exactly hit by degenerate weights).
+			// edge cases (e.g. a bound exactly hit by degenerate weights),
+			// on a fresh assembly: the failed factorization overwrote part
+			// of the buffer.
+			assembleGram(a, d, gram)
 			x, err := gram.Solve(y)
+			if errors.Is(err, linalg.ErrSingular) {
+				// Singular to working precision (iterates pressed against
+				// their bounds): solve with a ridge of 1e-14 times the
+				// largest diagonal entry, far below the accuracy the
+				// path following needs.
+				var top float64
+				for i := 0; i < n; i++ {
+					top = math.Max(top, gram.At(i, i))
+				}
+				for i := 0; i < n; i++ {
+					gram.Inc(i, i, 1e-14*top)
+				}
+				x, err = gram.Solve(y)
+			}
 			return x, 0, err
 		}
-		return linalg.CholSolve(chol, y), 0, nil
+		copy(x, y)
+		linalg.CholSolveInPlace(gram, x)
+		return x, 0, nil
 	}, nil
 }
 
@@ -257,11 +279,12 @@ func (c *mfCore) newSolve(refresh func(d []float64), precondTo func(dst, r []flo
 				return nil, iters, err
 			}
 			c.op.MulVecTo(ax, x)
-			if linalg.Norm2(linalg.Sub(y, ax)) > 1e-6*(1+linalg.Norm2(y)) {
+			// Negated so that a NaN residual (CG broke down) is rejected.
+			if !(linalg.Norm2(linalg.Sub(y, ax)) <= 1e-6*(1+linalg.Norm2(y))) {
 				return nil, iters, err
 			}
 		}
-		return linalg.Clone(x), iters, nil
+		return x, iters, nil
 	}
 }
 
@@ -292,11 +315,13 @@ func assembleGram(a *linalg.CSR, d []float64, gram *linalg.Dense) {
 		if dr == 0 {
 			continue
 		}
-		a.VisitRow(r, func(ci int, vi float64) {
-			a.VisitRow(r, func(cj int, vj float64) {
-				gram.Inc(ci, cj, dr*vi*vj)
-			})
-		})
+		cols, vals := a.RowEntries(r)
+		for i, ci := range cols {
+			row := gram.Row(ci)
+			for j, cj := range cols {
+				row[cj] += dr * vals[i] * vals[j]
+			}
+		}
 	}
 }
 

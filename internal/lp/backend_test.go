@@ -2,6 +2,8 @@ package lp
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -140,5 +142,57 @@ func TestSolveWithCSRCGBackend(t *testing.T) {
 	}
 	if _, err := Solve(prob, linalg.Constant(m, 1.0/3), 0.05, Params{Seed: 1}); err == nil {
 		t.Fatal("unknown backend accepted by Solve")
+	}
+}
+
+// A matrix-free backend whose CG breaks down must report an error rather
+// than hand back a NaN solution: a NaN residual fails every comparison, so
+// the acceptance check is written to reject it.
+func TestMatrixFreeBackendsRejectNaN(t *testing.T) {
+	a := incidenceProblem(6, rand.New(rand.NewSource(4)))
+	d := linalg.Ones(a.Rows())
+	y := linalg.Ones(a.Cols())
+	y[0] = math.NaN()
+	for _, name := range []string{"csr-cg", "csr-pcg"} {
+		solve, err := NewBackendSolver(name, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x, _, err := solve(context.Background(), d, y); err == nil {
+			t.Fatalf("%s: NaN right-hand side accepted, solution %v", name, x)
+		}
+	}
+}
+
+// The dense backend answers a Gram matrix singular to working precision —
+// both the Cholesky and the Gaussian elimination lose the last pivot —
+// through its ridge, with a small residual for a right-hand side in the
+// matrix's range, instead of failing the solve.
+func TestDenseBackendRidge(t *testing.T) {
+	a, d := groundedPath(12)
+	m, n := a.Rows(), a.Cols()
+	d2 := make([]float64, m)
+	v := make([]float64, m)
+	rnd := rand.New(rand.NewSource(9))
+	for i, di := range d {
+		d2[i] = di * di
+		v[i] = d2[i] * rnd.NormFloat64()
+	}
+	y := a.MulVecT(v)
+	g := linalg.NewDense(n, n)
+	assembleGram(a, d2, g)
+	if _, err := g.Solve(y); !errors.Is(err, linalg.ErrSingular) {
+		t.Fatalf("Gaussian elimination gave %v; the test needs a matrix it finds singular", err)
+	}
+	solve, err := denseBackend(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _, err := solve(context.Background(), d2, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := linalg.Norm2(linalg.Sub(g.MulVec(x), y)); r > 1e-9*linalg.Norm2(y) {
+		t.Fatalf("residual %g for ‖y‖ = %g", r, linalg.Norm2(y))
 	}
 }

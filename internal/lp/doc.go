@@ -21,11 +21,28 @@
 // only numerically refreshed when the IPM reweights D (precond.go); its
 // build/refresh counters surface in Solution.PrecondBuilds/Refreshes.
 //
+// Leverage scores σ(diag(d)·A), which every Lewis-weight iteration needs,
+// do not go through the backend on the exact branch (sketch dimension
+// k ≥ m, every instance the flow pipeline meets up to m ≈ 2000): d is
+// fixed within the call, so all m rows share one AᵀD²A, which lewis.go
+// assembles and Cholesky-factors once, σ_r = d_r²·‖L⁻¹a_r‖². Every backend
+// therefore computes the same scores, and the backend serves only the
+// Newton projection solves (one per centering) and Polish's feasibility
+// repair. A Cholesky that fails (an empty column of diag(d)·A, or iterates
+// so near their bounds that the Gram matrix is singular to working
+// precision — a few calls in a million on the flow benchmark) falls back
+// to per-row solves against the dense reference backend, whose Gaussian
+// elimination and ridge handle such matrices. Per-row solves go through
+// the configured backend only for n above factorMaxCols, and the sketch
+// branch (k < m) issues its k solves through the backend as before.
+//
 // Invariants:
 //
 //   - Confinement: a Session is single-goroutine — its backend workspaces
-//     and centering scratch are reused across solves, which is what makes
-//     the hot path allocation-free after the first solve. Concurrent
+//     are reused across solves, and each Solve/Polish call allocates its
+//     centering scratch and leverage buffers once, so a centering
+//     allocates nothing (tested with testing.AllocsPerRun on dense and
+//     csr-pcg) while an idle Session retains only the backend. Concurrent
 //     serving wraps one Session per worker (internal/pool), never a lock
 //     around one Session.
 //   - Determinism: results are bit-identical to one-shot solves — every

@@ -19,6 +19,24 @@ func tallMatrix(m, n int, rnd *rand.Rand) *linalg.CSR {
 	return linalg.NewCSR(m, n, ts)
 }
 
+// scores evaluates lev's leverage scores at scaling d into a fresh slice.
+func scores(t *testing.T, lev *leverage, d []float64) []float64 {
+	t.Helper()
+	sigma := make([]float64, len(d))
+	if err := lev.scoresTo(sigma, d); err != nil {
+		t.Fatal(err)
+	}
+	return sigma
+}
+
+// apxWeights runs computeApxWeightsTo into fresh buffers.
+func apxWeights(lev *leverage, base []float64, p float64, w0 []float64, par LewisParams) ([]float64, error) {
+	m := len(w0)
+	w := make([]float64, m)
+	err := computeApxWeightsTo(w, make([]float64, m), make([]float64, m), lev, base, p, w0, par)
+	return w, err
+}
+
 func TestLewisWeightsPTwoAreLeverageScores(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	m, n := 20, 4
@@ -28,16 +46,13 @@ func TestLewisWeightsPTwoAreLeverageScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lev := NewLeverageFn(a, sol.Bind(context.Background()), true, 0, 1)
+	lev := newLeverage(a, sol.Bind(context.Background()), true, 0, 1)
 	base := linalg.Ones(m)
 	// For p = 2, W^{1/2−1/p} = W⁰ = I, so the fixed point is σ(A) itself.
-	sigma, err := lev(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sigma := scores(t, lev, base)
 	par := DefaultLewisParams()
 	par.MaxIters = 30
-	w, err := ComputeApxWeights(lev, base, 2, sigma, par)
+	w, err := apxWeights(lev, base, 2, sigma, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +72,12 @@ func TestLewisFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lev := NewLeverageFn(a, sol.Bind(context.Background()), true, 0, 1)
+	lev := newLeverage(a, sol.Bind(context.Background()), true, 0, 1)
 	base := linalg.Ones(m)
 	p := 1.2
 	par := DefaultLewisParams()
 	par.MaxIters = 60
-	w, _, err := ComputeInitialWeights(lev, base, p, n, m, par, 100)
+	w, _, err := computeInitialWeights(lev, base, p, n, m, par, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +86,7 @@ func TestLewisFixedPoint(t *testing.T) {
 	for i := range d {
 		d[i] = math.Pow(math.Max(w[i], 1e-12), 0.5-1/p)
 	}
-	sigma, err := lev(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sigma := scores(t, lev, d)
 	var worst float64
 	for i := range w {
 		rel := math.Abs(w[i]-sigma[i]) / (sigma[i] + 0.02)
@@ -101,10 +113,10 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lev := NewLeverageFn(a, sol.Bind(context.Background()), true, 0, 1)
+		lev := newLeverage(a, sol.Bind(context.Background()), true, 0, 1)
 		par := DefaultLewisParams()
 		par.MaxIters = 2
-		_, st, err := ComputeInitialWeights(lev, linalg.Ones(m), 1-1/math.Log(4*float64(m)), n, m, par, 10000)
+		_, st, err := computeInitialWeights(lev, linalg.Ones(m), 1-1/math.Log(4*float64(m)), n, m, par, 10000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +134,7 @@ func TestComputeInitialWeightsStepCountScales(t *testing.T) {
 }
 
 func TestComputeApxWeightsRejectsBadP(t *testing.T) {
-	if _, err := ComputeApxWeights(nil, nil, 0, nil, DefaultLewisParams()); err == nil {
+	if _, err := apxWeights(nil, nil, 0, nil, DefaultLewisParams()); err == nil {
 		t.Fatal("p = 0 accepted")
 	}
 }

@@ -29,26 +29,65 @@ import (
 //
 // All l_i must be positive.
 func ProjectMixedBall(a, l []float64, net *sim.Network) []float64 {
+	return newMixedBall(len(a)).project(a, l, net)
+}
+
+// mixedBall holds the buffers of one ProjectMixedBall shape: the result,
+// the clamp order and the three prefix sums. The centering loop keeps one
+// per solver call, so projecting allocates nothing.
+type mixedBall struct {
+	x          []float64
+	order      []int
+	p1, p2, p3 []float64
+	// a and l are the current inputs, read by the sort.Interface methods.
+	a, l []float64
+}
+
+func newMixedBall(m int) *mixedBall {
+	return &mixedBall{
+		x:     make([]float64, m),
+		order: make([]int, m),
+		p1:    make([]float64, m+1),
+		p2:    make([]float64, m+1),
+		p3:    make([]float64, m+1),
+	}
+}
+
+// Len, Less and Swap sort order by |a_i|/l_i descending. sort.Sort runs
+// the same pattern-defeating quicksort as sort.Slice over the same
+// comparisons, so ties land in the order sort.Slice would give them,
+// without its per-call allocations.
+func (mb *mixedBall) Len() int      { return len(mb.order) }
+func (mb *mixedBall) Swap(p, q int) { mb.order[p], mb.order[q] = mb.order[q], mb.order[p] }
+func (mb *mixedBall) Less(p, q int) bool {
+	ip, iq := mb.order[p], mb.order[q]
+	return math.Abs(mb.a[ip])*mb.l[iq] > math.Abs(mb.a[iq])*mb.l[ip]
+}
+
+// project is ProjectMixedBall into the receiver's buffers; the returned
+// slice is mb.x, overwritten by the next call. len(a) must equal the
+// shape the receiver was built for.
+func (mb *mixedBall) project(a, l []float64, net *sim.Network) []float64 {
 	m := len(a)
-	x := make([]float64, m)
+	x := mb.x
+	for i := range x {
+		x[i] = 0
+	}
 	if m == 0 || linalg.Norm2(a) == 0 {
 		return x
 	}
 	// Sort indices by |a_i|/l_i descending — the clamp priority order. (In
 	// the BCC the order is never materialized; the binary search below
 	// queries ratio thresholds, which is how the paper sidesteps sorting.)
-	order := make([]int, m)
+	order := mb.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(p, q int) bool {
-		ip, iq := order[p], order[q]
-		return math.Abs(a[ip])*l[iq] > math.Abs(a[iq])*l[ip]
-	})
+	mb.a, mb.l = a, l
+	sort.Sort(mb)
+	mb.a, mb.l = nil, nil
 	// Prefix sums over the sorted order: P1 = Σ|a|l, P2 = Σl², P3 = Σa².
-	p1 := make([]float64, m+1)
-	p2 := make([]float64, m+1)
-	p3 := make([]float64, m+1)
+	p1, p2, p3 := mb.p1, mb.p2, mb.p3
 	for j, idx := range order {
 		p1[j+1] = p1[j] + math.Abs(a[idx])*l[idx]
 		p2[j+1] = p2[j] + l[idx]*l[idx]

@@ -20,8 +20,11 @@
 //  3. build the fill-free elimination structure (linalg.TreeCholPrecond).
 //
 // Per ATDA call the backend only refreshes numerics — and only when the
-// IPM actually reweighted D: the leverage-score sketches issue many solves
-// against one diagonal, which all reuse the previous factorization.
+// IPM actually reweighted D. Exact leverage scores do not reach the
+// backend (lewis.go factors AᵀD²A itself), so on the flow pipeline nearly
+// every call is a Newton projection on a fresh diagonal; the guard pays
+// off for the sketch branch's k solves against one diagonal and for the
+// per-row leverage fallback.
 package lp
 
 import (
@@ -249,8 +252,8 @@ func csrPCGBackend(a *linalg.CSR) (ATDASolve, *PrecondStats, error) {
 }
 
 // floatsEqual reports bitwise equality of two equal-length vectors — the
-// refresh guard. An O(m) compare is noise next to the O(nnz·iters) solve
-// it saves when the leverage sketches re-solve against an unchanged D.
+// refresh guard. An O(m) compare is noise next to the refresh it saves
+// when leverage sketches re-solve against an unchanged D.
 func floatsEqual(a, b []float64) bool {
 	for i, v := range a {
 		if v != b[i] {

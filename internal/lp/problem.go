@@ -14,6 +14,9 @@ import (
 // the number of inner (CG) iterations spent — 0 for direct methods — which
 // the IPM aggregates into Solution.CGIterations. Implementations honor ctx:
 // on cancellation they return an error satisfying errors.Is(err, ctx.Err()).
+// The returned solution may be a buffer the solver owns and overwrites on
+// its next call (the built-in backends do this so the centering loop
+// allocates nothing); callers that keep it across calls copy it.
 type ATDASolve func(ctx context.Context, d, y []float64) ([]float64, int, error)
 
 // Bind adapts an ATDASolve into a context-free GramSolve (as consumed by

@@ -9,11 +9,13 @@ import (
 )
 
 // Session is a reusable solver handle for one Problem: the linear-solve
-// backend (with its factorization buffers and CG workspaces) and the IPM
-// centering scratch are built once and shared by every Solve/Polish call,
-// so repeated solves of the same problem shape stop allocating after the
-// first. Results are bit-identical to one-shot SolveCtx calls — every
-// scratch buffer is fully overwritten before it is read.
+// backend (with its factorization buffers and CG workspaces) is built once
+// and shared by every Solve/Polish call. The IPM centering scratch and the
+// leverage-score buffers are allocated per call, once, and reused by every
+// centering of that call, so the centering loop allocates nothing while an
+// idle Session retains only the backend. Results are bit-identical to
+// one-shot SolveCtx calls — every scratch buffer is fully overwritten
+// before it is read.
 //
 // A Session is not safe for concurrent use; it serves a sequential query
 // stream, matching the model (one network, one round structure).
@@ -25,12 +27,11 @@ type Session struct {
 	// backends without a combinatorial preconditioner); cumulative over
 	// the session, snapshotted into every Solution.
 	pstats *PrecondStats
-	scr    *scratch
 }
 
 // NewSession validates prob, instantiates its linear-solve backend (an
 // unknown Problem.Backend fails here with ErrBackendUnknown, before any
-// solve starts) and allocates the shared scratch.
+// solve starts). Per-call scratch is not kept: see newIPM.
 func NewSession(prob *Problem) (*Session, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
@@ -43,11 +44,11 @@ func NewSession(prob *Problem) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{prob: prob, bar: bar, solve: solve, pstats: pstats, scr: newScratch(prob.M(), prob.N())}, nil
+	return &Session{prob: prob, bar: bar, solve: solve, pstats: pstats}, nil
 }
 
 // newIPM builds the per-call solver state over the session's shared
-// backend and scratch.
+// backend: the centering scratch and the leverage buffers.
 func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 	m, n := sess.prob.M(), sess.prob.N()
 	par = par.withDefaults(n)
@@ -59,11 +60,11 @@ func (sess *Session) newIPM(ctx context.Context, par Params) *ipm {
 		cK:     2 * math.Log(4*float64(m)),
 		sol:    sess.solve,
 		pstats: sess.pstats,
-		scr:    sess.scr,
+		scr:    newScratch(m, n),
 	}
 	s.cNorm = 24 * math.Sqrt(4*s.cK)
 	s.etaW = 0.1
-	s.lev = NewLeverageFn(sess.prob.A, s.sol.Bind(ctx), par.ExactLeverage, par.LeverageEta, par.Seed)
+	s.lev = newLeverage(sess.prob.A, s.sol.Bind(ctx), par.ExactLeverage, par.LeverageEta, par.Seed)
 	return s
 }
 
@@ -120,7 +121,7 @@ func (s *ipm) initialWeights(x []float64) ([]float64, error) {
 	for i := range base {
 		base[i] = 1 / math.Sqrt(phi2[i])
 	}
-	w, _, err := ComputeInitialWeights(s.lev, base, s.p, s.n, m, s.par.Lewis, s.par.InitWeightSteps)
+	w, _, err := computeInitialWeights(s.lev, base, s.p, s.n, m, s.par.Lewis, s.par.InitWeightSteps)
 	if err != nil {
 		return nil, fmt.Errorf("lp: initial weights: %w", err)
 	}

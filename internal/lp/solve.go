@@ -111,19 +111,22 @@ type Solution struct {
 	Rounds int
 }
 
-// scratch holds the centering buffers, allocated once per problem shape and
-// reused across every path step — and, through a Session, across solves
-// (the IPM performs Õ(√n) centerings; per-step allocation was the dominant
-// garbage source before the LinOp refactor). Every buffer is fully written
-// before it is read in each centering, so reuse never leaks state between
-// solves and results stay bit-identical to a fresh allocation.
+// scratch holds the centering buffers, allocated once per solver call and
+// reused across every path step (the IPM performs Õ(√n) centerings, each
+// of which then allocates nothing). They live with the call, not with the
+// Session: a Session is kept per answered terminal pair, and per-call
+// buffers keep what it retains small. Every buffer is fully written before
+// it is read in each centering, so results stay bit-identical to a fresh
+// allocation.
 type scratch struct {
 	phi1, phi2, phi2New []float64 // barrier derivatives at x / xNew
 	q, pq               []float64 // centrality direction and projection
 	dx, xNew            []float64 // Newton step
 	base, z, dvec, grad []float64 // weight-update intermediates
+	apx, lewD, sigma    []float64 // Lewis weights and their scratch
 	l, wNew             []float64 // mixed-ball radii, next weights
 	tmp, rhs, asol      []float64 // applyProjection temporaries
+	mb                  *mixedBall
 }
 
 // newScratch sizes the reusable centering buffers for an m×n problem.
@@ -134,9 +137,11 @@ func newScratch(m, n int) *scratch {
 	s.q, s.pq = v(m), v(m)
 	s.dx, s.xNew = v(m), v(m)
 	s.base, s.z, s.dvec, s.grad = v(m), v(m), v(m), v(m)
+	s.apx, s.lewD, s.sigma = v(m), v(m), v(m)
 	s.l, s.wNew = v(m), v(m)
 	s.tmp, s.asol = v(m), v(m)
 	s.rhs = v(n)
+	s.mb = newMixedBall(m)
 	return s
 }
 
@@ -146,7 +151,7 @@ type ipm struct {
 	prob   *Problem
 	bar    *Barriers
 	par    Params
-	lev    LeverageFn
+	lev    *leverage
 	sol    ATDASolve
 	pstats *PrecondStats // live backend counters (nil without a preconditioner)
 	phase  int           // 1 = artificial cost, 2 = true cost, 3 = polish
@@ -253,7 +258,6 @@ func (s *ipm) center(x, w []float64, t float64, c []float64) ([]float64, []float
 // across successive calls is safe); Solve clones the final iterate before
 // handing it to the caller.
 func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []float64, float64, error) {
-	s.counts.Centerings++
 	m := s.m
 	phi1, phi2 := s.scr.phi1, s.scr.phi2
 	s.bar.D1To(phi1, x)
@@ -261,9 +265,28 @@ func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []
 
 	// q = (t·c + w·φ′(x)) / (w·√φ″(x)).
 	q := s.scr.q
+	central := true
 	for i := 0; i < m; i++ {
 		q[i] = (t*c[i] + w[i]*phi1[i]) / (w[i] * math.Sqrt(phi2[i]))
+		central = central && q[i] == 0
 	}
+	if central {
+		// x is exactly central (phase 1 starts so by construction): the
+		// projection is 0, so δ = 0, the Newton step is 0 and the weight
+		// update is scaled by min(δ, 1) = 0 — centerStep would return x
+		// and w unchanged. Skip the solve and the Lewis weights; this is
+		// not a centering.
+		return x, w, 0, nil
+	}
+	return s.centerStep(x, w, q)
+}
+
+// centerStep is the centering proper: the Newton step along the projected
+// direction q and the weight update. scr.phi2 must hold φ″(x).
+func (s *ipm) centerStep(x, w, q []float64) ([]float64, []float64, float64, error) {
+	m := s.m
+	phi2 := s.scr.phi2
+	s.counts.Centerings++
 	pq, err := s.applyProjection(q, w, phi2)
 	if err != nil {
 		return x, w, 0, err
@@ -308,8 +331,8 @@ func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []
 	for i := range base {
 		base[i] = 1 / math.Sqrt(phi2New[i])
 	}
-	apx, err := ComputeApxWeights(s.lev, base, s.p, w, s.par.Lewis)
-	if err != nil {
+	apx := s.scr.apx
+	if err := computeApxWeightsTo(apx, s.scr.lewD, s.scr.sigma, s.lev, base, s.p, w, s.par.Lewis); err != nil {
 		return x, w, 0, err
 	}
 	z := s.scr.z
@@ -328,7 +351,7 @@ func (s *ipm) centerDelta(x, w []float64, t float64, c []float64) ([]float64, []
 	for i := range l {
 		l[i] = s.cNorm * math.Sqrt(math.Max(w[i], 1e-300))
 	}
-	proj := ProjectMixedBall(grad, l, s.par.Net)
+	proj := s.scr.mb.project(grad, l, s.par.Net)
 	scale := (1 - 6/(7*s.cK)) * math.Min(delta, 1)
 	wNew := s.scr.wNew
 	for i := range wNew {
